@@ -521,8 +521,6 @@ int Run() {
     return out;
   }();
   InferenceCache dedup_cache(8 << 20, /*num_shards=*/2, CacheAdmission::kLru);
-  InflightTable inflight;
-  dedup_cache.set_inflight(&inflight);
   nn::TinyOcr serving_ocr;
   nn::Device* serving_device = nn::GetDevice(nn::DeviceKind::kCpuVector);
   {
@@ -548,7 +546,7 @@ int Run() {
     go.store(true, std::memory_order_release);
     for (auto& t : racers) t.join();
   }
-  const InflightStats dedup_stats = inflight.Stats();
+  const InflightStats dedup_stats = dedup_cache.inflight()->Stats();
   const uint64_t dedup_evals =
       static_cast<uint64_t>(kDedupSessions) * kDedupPanels;
   const double serving_dedup_rate =
@@ -588,11 +586,8 @@ int Run() {
   nn::Device* sim_gpu = nn::GetDevice(nn::DeviceKind::kGpuSim);
   auto ocr_wave = [&](BatchFormer* former,
                       std::vector<std::string>* texts) -> double {
-    InferenceCache wave_cache(8 << 20, /*num_shards=*/2,
-                              CacheAdmission::kLru);
-    InflightTable wave_inflight;
-    wave_cache.set_inflight(&wave_inflight);
-    wave_cache.set_batch_former(former);
+    InferenceCache wave_cache(8 << 20, /*num_shards=*/2, CacheAdmission::kLru,
+                              /*inflight=*/nullptr, former);
     texts->assign(kFormPanels, std::string());
     std::atomic<int> ready{0};
     std::atomic<bool> go{false};

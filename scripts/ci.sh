@@ -2,11 +2,13 @@
 # Staged CI pipeline. Stages (in default order):
 #
 #   configure — cmake -B $BUILD_DIR
-#   build     — compile everything
+#   build     — compile everything; any compiler warning in src/ fails
 #   test      — full ctest suite
 #   bench     — bench_micro_cache + bench_micro_pipeline_batch +
 #               bench_micro_store, then the regression gate
 #               (scripts/check_bench.py vs bench/baselines/)
+#   perfbench — self-test of the end-to-end benchmark (perfbench/) at a
+#               tiny corpus size
 #   fuzz      — short-budget run of the fuzz battery (fuzz/), each target
 #               seeded from deeplens_make_corpus output
 #   tsan      — ThreadSanitizer build of the `parallel`-labeled suites
@@ -35,7 +37,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 NPROC="$(nproc)"
 
-STAGES="${DEEPLENS_CI_STAGES:-configure build test bench fuzz tsan asan docs}"
+STAGES="${DEEPLENS_CI_STAGES:-configure build test bench perfbench fuzz tsan asan docs}"
 STAGES="${STAGES//,/ }"
 if [[ "${DEEPLENS_SKIP_TSAN:-0}" == "1" ]]; then
   STAGES="$(printf '%s\n' $STAGES | grep -vx tsan | tr '\n' ' ' || true)"
@@ -46,7 +48,19 @@ stage_configure() {
 }
 
 stage_build() {
-  cmake --build "$BUILD_DIR" -j"$NPROC"
+  # The library builds under -Wall -Wextra and must stay warning-free: a
+  # warning located in src/ (a .cc or a header some target includes)
+  # fails the stage. Only recompiled files warn, so a clean tree checks
+  # everything.
+  local log="$BUILD_DIR/build.log"
+  cmake --build "$BUILD_DIR" -j"$NPROC" 2>&1 | tee "$log"
+  local warnings
+  warnings="$(grep -F ': warning:' "$log" | grep -F "$PWD/src/" || true)"
+  if [[ -n "$warnings" ]]; then
+    echo "ci.sh: compiler warnings in src/:" >&2
+    echo "$warnings" >&2
+    return 1
+  fi
 }
 
 stage_test() {
@@ -71,6 +85,13 @@ stage_bench() {
   # Regression gate: fresh speedups must stay within 20% of the
   # committed baselines.
   python3 scripts/check_bench.py
+}
+
+stage_perfbench() {
+  # The end-to-end benchmark's self-test: every workload runs traced and
+  # untraced at a tiny scale, emits exactly BENCHMARK.json's metrics, and
+  # agrees with itself. Builds its own tree under .bench_build/.
+  python3 perfbench/test_perfbench.py
 }
 
 stage_fuzz() {
@@ -167,7 +188,7 @@ print_summary() {
 for stage in $STAGES; do
   if ! declare -F "stage_${stage}" > /dev/null; then
     echo "ci.sh: unknown stage '${stage}' (valid: configure build test" \
-         "bench fuzz tsan asan docs)" >&2
+         "bench perfbench fuzz tsan asan docs)" >&2
     exit 2
   fi
 done

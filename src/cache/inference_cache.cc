@@ -149,15 +149,6 @@ Result<std::vector<nn::Detection>> ParseDetections(ByteReader* reader) {
   return dets;
 }
 
-// The batch former engages only for a keyed miss (enabled cache) on a
-// former that is installed and configured on — otherwise the wrappers
-// keep their inline eval path, which is also the byte-identity oracle.
-BatchFormer* ActiveFormer(InferenceCache* cache, const std::string& key) {
-  if (cache == nullptr || key.empty()) return nullptr;
-  BatchFormer* former = cache->batch_former();
-  return (former != nullptr && former->enabled()) ? former : nullptr;
-}
-
 std::vector<BatchFormer::ItemOutcome> ReplicatedError(size_t n,
                                                       const Status& status) {
   return std::vector<BatchFormer::ItemOutcome>(
@@ -232,7 +223,69 @@ BatchFormer::BatchFn DepthBatchFn(const nn::TinyDepth* model,
   };
 }
 
+// A wrong-typed payload (conceivable only via a spill log written by a
+// build that changed a model's output type without bumping the format
+// version) degrades to a miss, never a crash.
+template <typename T>
+std::shared_ptr<const InferenceValue> Typed(
+    std::shared_ptr<const InferenceValue> hit) {
+  return hit != nullptr && std::holds_alternative<T>(hit->payload) ? hit
+                                                                   : nullptr;
+}
+
+// The one body behind every Cached* wrapper. `eval` runs the model on
+// this call's patch; `make_batch_fn` builds the function that runs a
+// formed batch of such patches.
+template <typename T, typename EvalFn, typename MakeBatchFn>
+Result<T> CachedInference(InferenceCache* cache, const char* model,
+                          nn::Device* device, uint64_t fingerprint,
+                          uint64_t variant, const BatchFormer::Item& item,
+                          const EvalFn& eval, const MakeBatchFn& make_batch_fn,
+                          bool* computed) {
+  if (computed != nullptr) *computed = false;
+  // Keyless: no enabled cache, or the caller skipped hashing. This inline
+  // path is also the differential tests' oracle.
+  if (cache == nullptr || !cache->enabled() || fingerprint == 0) {
+    if (computed != nullptr) *computed = true;
+    return eval();
+  }
+  const std::string model_key = InferenceCache::ModelOnDevice(model, device);
+  const std::string key =
+      InferenceCache::KeyFor(model_key, fingerprint, variant);
+  if (auto hit = Typed<T>(cache->Get(key))) return std::get<T>(hit->payload);
+  return CachedMiss<T>(
+      cache, key,
+      [&]() -> Result<T> {
+        // With the former on, the patch stages into the cross-query batch
+        // (one device invocation for every session's concurrent misses);
+        // otherwise it evaluates inline.
+        if (cache->device_batch_size() == 0) return eval();
+        DL_ASSIGN_OR_RETURN(
+            InferenceValue value,
+            cache->batch_former()->Run(model_key, item, make_batch_fn()));
+        return std::get<T>(std::move(value.payload));
+      },
+      computed);
+}
+
 }  // namespace
+
+InferenceCache::InferenceCache(size_t budget_bytes, size_t num_shards,
+                               CacheAdmission admission,
+                               InflightTable* inflight,
+                               BatchFormer* batch_former)
+    : cache_(budget_bytes, num_shards, admission),
+      own_inflight_(inflight == nullptr ? std::make_unique<InflightTable>()
+                                        : nullptr),
+      inflight_(inflight != nullptr ? inflight : own_inflight_.get()),
+      batch_former_(batch_former) {}
+
+InferenceCache::~InferenceCache() = default;
+
+uint64_t InferenceCache::device_batch_size() const {
+  if (!enabled() || batch_former_ == nullptr) return 0;
+  return batch_former_->batch_size();
+}
 
 size_t InferenceValue::ByteSize() const {
   return sizeof(InferenceValue) + std::visit(HeapSizeVisitor{}, payload);
@@ -312,138 +365,61 @@ void InferenceCache::Put(const std::string& key, InferenceValue value) {
              charge);
 }
 
+template <typename T>
+Result<T> CachedMiss(InferenceCache* cache, const std::string& key,
+                     const std::function<Result<T>()>& eval, bool* computed) {
+  DL_ASSIGN_OR_RETURN(
+      auto shared,
+      cache->inflight()->Do(
+          key, [&] { return Typed<T>(cache->Recheck(key)); },
+          [&]() -> Result<InferenceValue> {
+            if (computed != nullptr) *computed = true;
+            DL_ASSIGN_OR_RETURN(T result, eval());
+            InferenceValue value{std::move(result)};
+            // Publish before the flight resolves, so a caller that
+            // arrives after it finds the value (in the cache or on its
+            // flight's re-check) instead of running the model again.
+            cache->Put(key, value);
+            return value;
+          }));
+  // Both the re-check and `eval` yield a T, so the payload is typed.
+  return std::get<T>(shared->payload);
+}
+
+template Result<std::string> CachedMiss<std::string>(
+    InferenceCache*, const std::string&,
+    const std::function<Result<std::string>()>&, bool*);
+template Result<double> CachedMiss<double>(
+    InferenceCache*, const std::string&,
+    const std::function<Result<double>()>&, bool*);
+
 Result<std::string> CachedOcrText(const nn::TinyOcr& ocr,
                                   const Image& pixels, uint64_t fingerprint,
                                   nn::Device* device, InferenceCache* cache,
                                   bool* computed) {
-  if (computed != nullptr) *computed = false;
-  std::string key;
-  if (cache != nullptr && cache->enabled() && fingerprint != 0) {
-    key = InferenceCache::KeyFor(
-        InferenceCache::ModelOnDevice(model_names::kOcr, device),
-        fingerprint);
-    if (auto hit = cache->Get(key)) {
-      // A wrong-typed payload (conceivable only via a spill log written
-      // by a build that changed a model's output type without bumping
-      // the format version) degrades to a miss, never a crash.
-      if (const auto* text = std::get_if<std::string>(&hit->payload)) {
-        return *text;
-      }
-    }
-  }
-  BatchFormer* former = ActiveFormer(cache, key);
-  // Miss-path compute, shared by the singleflight and standalone paths.
-  // With a former installed, the patch stages into the cross-query batch
-  // (the former Puts on our behalf before resolving the flight);
-  // otherwise it evaluates inline — the pre-batching behavior and the
-  // differential tests' oracle.
-  const auto compute = [&]() -> Result<InferenceValue> {
-    if (former != nullptr) {
-      bool led = false;
-      DL_ASSIGN_OR_RETURN(
-          auto shared,
-          former->Run(
-              InferenceCache::ModelOnDevice(model_names::kOcr, device), key,
-              BatchFormer::Item{&pixels, nn::BBox{}, 0}, cache,
-              OcrBatchFn(&ocr, device), &led));
-      if (led && computed != nullptr) *computed = true;
-      return InferenceValue(*shared);
-    }
-    if (computed != nullptr) *computed = true;  // flight leader
-    DL_ASSIGN_OR_RETURN(std::string text, ocr.RecognizeText(pixels, device));
-    InferenceValue value{text};
-    cache->Put(key, value);
-    return value;
-  };
-  if (!key.empty() && cache->inflight() != nullptr) {
-    // Singleflight the miss: under concurrent serving, K identical
-    // misses in flight at once cost one model call. The leader Puts
-    // before the flight resolves, so by the time followers (or late
-    // arrivals) run, the cache answers.
-    DL_ASSIGN_OR_RETURN(auto shared, cache->inflight()->Do(key, compute));
-    if (const auto* text = std::get_if<std::string>(&shared->payload)) {
-      return *text;
-    }
-    return Status::Internal("in-flight OCR value has non-string payload");
-  }
-  if (former != nullptr) {
-    // No singleflight table installed: the former's own staged map
-    // dedups identical concurrent misses.
-    DL_ASSIGN_OR_RETURN(InferenceValue value, compute());
-    if (const auto* text = std::get_if<std::string>(&value.payload)) {
-      return *text;
-    }
-    return Status::Internal("batched OCR value has non-string payload");
-  }
-  if (computed != nullptr) *computed = true;
-  DL_ASSIGN_OR_RETURN(std::string text, ocr.RecognizeText(pixels, device));
-  if (!key.empty()) {
-    cache->Put(key, InferenceValue{text});
-  }
-  return text;
+  return CachedInference<std::string>(
+      cache, model_names::kOcr, device, fingerprint, /*variant=*/0,
+      BatchFormer::Item{&pixels, nn::BBox{}, 0},
+      [&] { return ocr.RecognizeText(pixels, device); },
+      [&] { return OcrBatchFn(&ocr, device); }, computed);
 }
 
 Result<double> CachedDepth(const nn::TinyDepth& model, const Image& pixels,
                            const nn::BBox& bbox, int frame_h,
                            uint64_t fingerprint, nn::Device* device,
                            InferenceCache* cache, bool* computed) {
-  if (computed != nullptr) *computed = false;
-  std::string key;
-  if (cache != nullptr && cache->enabled() && fingerprint != 0) {
-    // The geometry cue depends on the source-frame height, so it is part
-    // of the key (the bbox is already folded into the fingerprint).
-    key = InferenceCache::KeyFor(
-        InferenceCache::ModelOnDevice(model_names::kDepth, device),
-        fingerprint, static_cast<uint64_t>(frame_h));
-    if (auto hit = cache->Get(key)) {
-      // Wrong-typed hit (alien spill log): recompute instead of crash.
-      if (const double* depth = std::get_if<double>(&hit->payload)) {
-        return *depth;
-      }
-    }
-  }
-  BatchFormer* former = ActiveFormer(cache, key);
-  const auto compute = [&]() -> Result<InferenceValue> {
-    if (former != nullptr) {
-      bool led = false;
-      DL_ASSIGN_OR_RETURN(
-          auto shared,
-          former->Run(
-              InferenceCache::ModelOnDevice(model_names::kDepth, device), key,
-              BatchFormer::Item{&pixels, bbox, frame_h}, cache,
-              DepthBatchFn(&model, device), &led));
-      if (led && computed != nullptr) *computed = true;
-      return InferenceValue(*shared);
-    }
-    if (computed != nullptr) *computed = true;  // flight leader
-    DL_ASSIGN_OR_RETURN(float predicted,
-                        model.PredictDepth(pixels, bbox, frame_h, device));
-    InferenceValue value{static_cast<double>(predicted)};
-    cache->Put(key, value);
-    return value;
-  };
-  if (!key.empty() && cache->inflight() != nullptr) {
-    DL_ASSIGN_OR_RETURN(auto shared, cache->inflight()->Do(key, compute));
-    if (const double* depth = std::get_if<double>(&shared->payload)) {
-      return *depth;
-    }
-    return Status::Internal("in-flight depth value has non-double payload");
-  }
-  if (former != nullptr) {
-    DL_ASSIGN_OR_RETURN(InferenceValue value, compute());
-    if (const double* depth = std::get_if<double>(&value.payload)) {
-      return *depth;
-    }
-    return Status::Internal("batched depth value has non-double payload");
-  }
-  if (computed != nullptr) *computed = true;
-  DL_ASSIGN_OR_RETURN(float depth,
-                      model.PredictDepth(pixels, bbox, frame_h, device));
-  const double value = static_cast<double>(depth);
-  if (!key.empty()) {
-    cache->Put(key, InferenceValue{value});
-  }
-  return value;
+  // The geometry cue depends on the source-frame height, so it is part of
+  // the key (the bbox is already folded into the fingerprint).
+  return CachedInference<double>(
+      cache, model_names::kDepth, device, fingerprint,
+      static_cast<uint64_t>(frame_h),
+      BatchFormer::Item{&pixels, bbox, frame_h},
+      [&]() -> Result<double> {
+        DL_ASSIGN_OR_RETURN(float depth,
+                            model.PredictDepth(pixels, bbox, frame_h, device));
+        return static_cast<double>(depth);
+      },
+      [&] { return DepthBatchFn(&model, device); }, computed);
 }
 
 }  // namespace deeplens

@@ -15,9 +15,15 @@
 // The typed Cached* wrappers are the integration points: call sites hand
 // them a model, the pixels, and an optional cache; a null or disabled
 // cache degrades to a plain inference call, which is what the
-// differential tests exploit to prove cache-on == cache-off.
+// differential tests exploit to prove cache-on == cache-off. Their miss
+// path is one pipeline: a keyed miss runs through the cache's
+// singleflight table (cache/inflight.h, the only dedup), whose leader
+// evaluates inline or stages the patch in the cross-query batch former
+// (exec/batch_former.h, which only batches) and Puts the result before
+// the flight resolves.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <variant>
@@ -74,10 +80,14 @@ class InferenceCache {
   /// are dropped, no locks taken). Admission defaults to TinyLFU so a
   /// cold scan cannot flush hot inference results; pass
   /// CacheAdmission::kLru for the classic admit-everything behavior.
+  /// `inflight` and `batch_former` are not owned; a null `inflight`
+  /// gives the cache a private singleflight table, a null
+  /// `batch_former` makes every miss evaluate inline.
   InferenceCache(size_t budget_bytes, size_t num_shards,
-                 CacheAdmission admission = CacheAdmission::kTinyLfu)
-      : cache_(budget_bytes, num_shards, admission) {}
-  virtual ~InferenceCache() = default;
+                 CacheAdmission admission = CacheAdmission::kTinyLfu,
+                 InflightTable* inflight = nullptr,
+                 BatchFormer* batch_former = nullptr);
+  virtual ~InferenceCache();
 
   bool enabled() const { return cache_.enabled(); }
 
@@ -104,6 +114,14 @@ class InferenceCache {
   virtual std::shared_ptr<const InferenceValue> Get(const std::string& key) {
     return cache_.Get(key);
   }
+
+  /// A flight leader's re-check of a key its caller just missed: reads
+  /// the memory tier, where a value published by the previous flight
+  /// lives unless admission turned it away. A hit counts as usual; a miss
+  /// leaves no trace, since the caller's Get already counted it.
+  std::shared_ptr<const InferenceValue> Recheck(const std::string& key) {
+    return cache_.Get(key, /*record_miss=*/false);
+  }
   virtual void Put(const std::string& key, InferenceValue value);
 
   virtual void Clear() { cache_.Clear(); }
@@ -116,30 +134,29 @@ class InferenceCache {
 
   virtual CacheStats Stats() const { return cache_.Stats(); }
 
-  /// Optional singleflight table (cache/inflight.h): when set, the
-  /// Cached* wrappers run their miss-path inference through it so
-  /// concurrent identical misses pay for one model call instead of K.
-  /// Not owned; the Database owns one table and installs it on every
-  /// inference cache (including per-tenant ones) so in-flight dedup
-  /// works *across* tenants even when their caches are partitioned.
+  /// The singleflight table every keyed miss runs through; never null.
+  /// The Database passes its one table to every cache it builds (shared,
+  /// per-tenant and persistent), so identical in-flight inferences dedup
+  /// *across* tenants even when their caches are partitioned.
   InflightTable* inflight() const { return inflight_; }
-  void set_inflight(InflightTable* table) { inflight_ = table; }
 
-  /// Optional cross-query batch former (exec/batch_former.h): when set
-  /// *and* enabled, the Cached* wrappers stage their miss-path inference
-  /// into it so distinct patches from concurrent sessions amortize one
-  /// device invocation. Not owned; like the inflight table, the Database
-  /// owns one former and installs it on every inference cache so batches
-  /// form *across* tenants.
+  /// The cross-query batch former keyed misses stage into, or null. Like
+  /// the inflight table, the Database shares one former across all its
+  /// caches so batches form across tenants.
   BatchFormer* batch_former() const { return batch_former_; }
-  void set_batch_former(BatchFormer* former) { batch_former_ = former; }
+
+  /// Patches per device invocation this cache's keyed misses stage into;
+  /// 0 when they evaluate inline (cache disabled, no former, or the
+  /// former configured off).
+  uint64_t device_batch_size() const;
 
  protected:
   ShardedLruCache<InferenceValue> cache_;
 
  private:
-  InflightTable* inflight_ = nullptr;
-  BatchFormer* batch_former_ = nullptr;
+  std::unique_ptr<InflightTable> own_inflight_;  // standalone caches only
+  InflightTable* inflight_;
+  BatchFormer* batch_former_;
 };
 
 // --- Memoized inference entry points ------------------------------------
@@ -168,6 +185,19 @@ Result<double> CachedDepth(const nn::TinyDepth& model, const Image& pixels,
                            const nn::BBox& bbox, int frame_h,
                            uint64_t fingerprint, nn::Device* device,
                            InferenceCache* cache, bool* computed = nullptr);
+
+/// The keyed-miss path of the Cached* wrappers, exposed so tests can
+/// drive it without a preceding cache probe: one flight per `key` in
+/// cache->inflight(). The leader re-checks `cache` (Recheck), and only on
+/// a second miss runs `eval` and Puts its result before the flight
+/// resolves.
+/// `computed`, when non-null, is set to true if this call ran `eval`
+/// (and left as is otherwise).
+/// Instantiated for std::string (OCR) and double (depth).
+template <typename T>
+Result<T> CachedMiss(InferenceCache* cache, const std::string& key,
+                     const std::function<Result<T>()>& eval,
+                     bool* computed = nullptr);
 
 /// Fingerprint for cache use: 0 (no hashing at all) when no enabled
 /// cache is attached, so the cache-disabled configuration pays nothing.

@@ -1,11 +1,14 @@
 // Singleflight table for in-flight NN inference: the inference cache
-// dedups *completed* work, this dedups work that is still running.
+// dedups *completed* work, this dedups work that is still running. It is
+// the only dedup on the inference miss path — every keyed miss of every
+// InferenceCache goes through one (see InferenceCache::inflight()).
 // Under multi-tenant serving, K concurrent queries touching the same
 // (model, device, Patch::Fingerprint) used to all miss the cache (the
 // first Put lands only after the first inference finishes) and run K
 // inferences; now the first caller becomes the *leader* and runs the
 // model, every concurrent duplicate *joins* the in-flight computation
-// and blocks on its result, and late arrivals hit the cache as before —
+// and blocks on its result, and late arrivals hit the cache (or, if they
+// missed it just before the leader published, its re-check) —
 // so a distinct piece of content costs exactly one inference no matter
 // how many tenants ask at once.
 //
@@ -36,9 +39,9 @@
 
 namespace deeplens {
 
-/// Counters for Explain() / the serving bench. `joined` is the dedup
-/// hit count: inferences that did NOT run because an identical one was
-/// already in flight.
+/// Counters for Explain() / the serving bench. `leaders` counts model
+/// runs; `joined` is the dedup hit count: inferences that did NOT run
+/// because an identical one was already in flight.
 struct InflightStats {
   uint64_t leaders = 0;
   uint64_t joined = 0;
@@ -48,15 +51,22 @@ struct InflightStats {
 class InflightTable {
  public:
   using Outcome = Result<std::shared_ptr<const InferenceValue>>;
+  using Lookup = std::function<std::shared_ptr<const InferenceValue>()>;
+  using Compute = std::function<Result<InferenceValue>()>;
 
-  /// Returns the result of `compute` for `key`, running it at most once
-  /// across all concurrent callers: the first becomes the leader and
-  /// runs `compute` on its own thread; concurrent duplicates block until
-  /// the leader finishes and share its value (or error). `compute`
-  /// should also publish to the backing cache so late arrivals hit
-  /// there instead of re-entering the table.
-  Outcome Do(const std::string& key,
-             const std::function<Result<InferenceValue>()>& compute) {
+  /// Returns the value for `key`, running `compute` at most once across
+  /// all concurrent callers. The first caller leads the flight: it
+  /// re-checks the backing cache through `lookup` and runs `compute` on
+  /// its own thread only if that misses too. Concurrent duplicates block
+  /// until the leader finishes and share its value (or error).
+  ///
+  /// The re-check closes the window between a caller's own cache miss
+  /// and its arrival here: a flight that resolved in between has already
+  /// published, because `compute` must Put into the backing cache before
+  /// it returns and the flight is erased only after that. Such a caller
+  /// is a cache hit, not a leader, so `leaders` counts model runs only.
+  Outcome Do(const std::string& key, const Lookup& lookup,
+             const Compute& compute) {
     std::promise<Outcome> promise;
     std::shared_future<Outcome> joined_flight;
     {
@@ -66,14 +76,16 @@ class InflightTable {
         ++joined_;
         joined_flight = it->second;
       } else {
-        ++leaders_;
         inflight_.emplace(key, promise.get_future().share());
       }
     }
     // Joiners wait outside the lock: the leader needs it to retire the
     // key before fulfilling the promise.
     if (joined_flight.valid()) return joined_flight.get();
+    bool ran = false;
     Outcome outcome = [&]() -> Outcome {
+      if (auto published = lookup()) return published;
+      ran = true;
       auto computed = compute();
       if (!computed.ok()) return computed.status();
       return std::make_shared<const InferenceValue>(
@@ -82,10 +94,12 @@ class InflightTable {
     {
       std::lock_guard<std::mutex> lock(mu_);
       inflight_.erase(key);
+      if (ran) ++leaders_;
       if (!outcome.ok()) ++failures_;
     }
-    // After the erase, new callers start a fresh flight (and normally
-    // hit the cache instead); everyone who joined this one wakes here.
+    // After the erase, new callers start a fresh flight (and find the
+    // published value on re-check); everyone who joined this one wakes
+    // here.
     promise.set_value(outcome);
     return outcome;
   }

@@ -40,11 +40,13 @@ int AcquireLockFile(const std::string& path) {
 
 Result<std::unique_ptr<PersistentInferenceCache>>
 PersistentInferenceCache::Open(const std::string& dir, size_t budget_bytes,
-                               size_t num_shards,
-                               CacheAdmission admission) {
+                               size_t num_shards, CacheAdmission admission,
+                               InflightTable* inflight,
+                               BatchFormer* batch_former) {
   DL_RETURN_NOT_OK(CreateDirs(dir));
   auto cache = std::unique_ptr<PersistentInferenceCache>(
       new PersistentInferenceCache(budget_bytes, num_shards, admission,
+                                   inflight, batch_former,
                                    dir + "/" + kLogFileName));
   cache->lock_fd_ = AcquireLockFile(dir + "/" + kLockFileName);
   if (cache->lock_fd_ < 0) {

@@ -59,10 +59,12 @@ class PersistentInferenceCache : public InferenceCache {
   /// on the lock file guards it, and a second opener — same or another
   /// process — gets AlreadyExists instead of silently corrupting the
   /// shared tail (Database then degrades that opener to volatile
-  /// caching).
+  /// caching). `inflight` and `batch_former` are wired in as for
+  /// InferenceCache.
   static Result<std::unique_ptr<PersistentInferenceCache>> Open(
       const std::string& dir, size_t budget_bytes, size_t num_shards,
-      CacheAdmission admission = CacheAdmission::kTinyLfu);
+      CacheAdmission admission = CacheAdmission::kTinyLfu,
+      InflightTable* inflight = nullptr, BatchFormer* batch_former = nullptr);
 
   /// Auto-compaction trigger, checked at Open(): rewrite when the log
   /// holds at least as many dead bytes as live ones (so the log never
@@ -114,8 +116,10 @@ class PersistentInferenceCache : public InferenceCache {
 
  private:
   PersistentInferenceCache(size_t budget_bytes, size_t num_shards,
-                           CacheAdmission admission, std::string log_path)
-      : InferenceCache(budget_bytes, num_shards, admission),
+                           CacheAdmission admission, InflightTable* inflight,
+                           BatchFormer* batch_former, std::string log_path)
+      : InferenceCache(budget_bytes, num_shards, admission, inflight,
+                       batch_former),
         log_path_(std::move(log_path)) {}
 
   /// Serializes and appends one entry. Caller holds store_mu_.

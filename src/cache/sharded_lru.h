@@ -133,17 +133,21 @@ class ShardedLruCache {
     eviction_cb_ = std::move(cb);
   }
 
-  /// Returns the cached value or nullptr on miss.
-  std::shared_ptr<const V> Get(const std::string& key) {
+  /// Returns the cached value or nullptr on miss. `record_miss` = false
+  /// makes a miss leave no trace (no miss count, no admission access):
+  /// for re-probing a key whose miss the caller has already recorded.
+  std::shared_ptr<const V> Get(const std::string& key,
+                               bool record_miss = true) {
     if (!enabled()) return nullptr;
     const uint64_t hash = HashKey(key);
     Shard& shard = ShardAt(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end() && !record_miss) return nullptr;
     // Every lookup — hit or miss — is an access the admission filter
     // should know about: repeated misses are how a genuinely re-read key
     // earns its way past a resident victim.
     if (shard.sketch) shard.sketch->Increment(hash);
-    auto it = shard.map.find(key);
     if (it == shard.map.end()) {
       ++shard.misses;
       return nullptr;

@@ -2,23 +2,25 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
+
+#include "common/env.h"
 
 namespace deeplens {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::once_flag g_env_once;
+// Set while this thread parses DEEPLENS_LOG: ChoiceFromEnv logs its
+// rejection warning through GetLogLevel, which must not re-enter the
+// call_once it is running under.
+thread_local bool t_parsing_env = false;
 
 void InitFromEnv() {
-  const char* env = std::getenv("DEEPLENS_LOG");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "debug") == 0) g_level = 0;
-  else if (std::strcmp(env, "info") == 0) g_level = 1;
-  else if (std::strcmp(env, "warn") == 0) g_level = 2;
-  else if (std::strcmp(env, "error") == 0) g_level = 3;
+  t_parsing_env = true;
+  g_level = static_cast<int>(LogLevelFromEnv());
+  t_parsing_env = false;
 }
 
 const char* LevelName(LogLevel l) {
@@ -34,8 +36,17 @@ const char* LevelName(LogLevel l) {
 
 void SetLogLevel(LogLevel level) { g_level = static_cast<int>(level); }
 
+LogLevel LogLevelFromEnv() {
+  const std::string level = ChoiceFromEnv(
+      "DEEPLENS_LOG", {"debug", "info", "warn", "error"}, "warn");
+  if (level == "debug") return LogLevel::kDebug;
+  if (level == "info") return LogLevel::kInfo;
+  if (level == "error") return LogLevel::kError;
+  return LogLevel::kWarn;
+}
+
 LogLevel GetLogLevel() {
-  std::call_once(g_env_once, InitFromEnv);
+  if (!t_parsing_env) std::call_once(g_env_once, InitFromEnv);
   return static_cast<LogLevel>(g_level.load());
 }
 

@@ -13,6 +13,11 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
+/// Parses DEEPLENS_LOG (`debug` / `info` / `warn` / `error`) via
+/// ChoiceFromEnv: unset means kWarn, and garbage warns and keeps kWarn.
+/// GetLogLevel() applies it once, on first use.
+LogLevel LogLevelFromEnv();
+
 namespace internal {
 void LogEmit(LogLevel level, const char* file, int line,
              const std::string& msg);

@@ -27,8 +27,8 @@ Database::Database(std::string root)
 }
 
 void Database::ConfigureCaches(const CacheConfig& config) {
-  // Staged patches hold raw pointers into the caches being replaced;
-  // flush them out before retiring (holders stay safe either way via the
+  // Flush staged patches before retiring the caches their flight
+  // leaders will publish to (holders stay safe either way via the
   // retired list, but teardown should not leave batches half-formed).
   batch_former_.Drain();
   if (inference_cache_) {
@@ -46,7 +46,7 @@ void Database::ConfigureCaches(const CacheConfig& config) {
   if (!config.cache_dir.empty()) {
     auto persistent = PersistentInferenceCache::Open(
         config.cache_dir, config.inference_budget(), shards,
-        config.admission);
+        config.admission, &inflight_, &batch_former_);
     if (persistent.ok()) {
       inference_cache_ = std::move(*persistent);
     } else {
@@ -57,10 +57,9 @@ void Database::ConfigureCaches(const CacheConfig& config) {
   }
   if (!inference_cache_) {
     inference_cache_ = std::make_unique<InferenceCache>(
-        config.inference_budget(), shards, config.admission);
+        config.inference_budget(), shards, config.admission, &inflight_,
+        &batch_former_);
   }
-  inference_cache_->set_inflight(&inflight_);
-  inference_cache_->set_batch_former(&batch_former_);
   {
     // Tenant partitions were sized against the old budget; retire them
     // (raw-pointer holders stay safe) and let sessions rebuild lazily.
@@ -104,9 +103,8 @@ InferenceCache* Database::TenantInferenceCache(const std::string& tenant) {
     auto cache = std::make_unique<InferenceCache>(
         serving_config_.TenantCacheBudget(tenant,
                                           cache_config_.inference_budget()),
-        cache_config_.ResolvedShards(), cache_config_.admission);
-    cache->set_inflight(&inflight_);
-    cache->set_batch_former(&batch_former_);
+        cache_config_.ResolvedShards(), cache_config_.admission, &inflight_,
+        &batch_former_);
     it = tenant_caches_.emplace(tenant, std::move(cache)).first;
   }
   return it->second.get();

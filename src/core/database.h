@@ -113,13 +113,14 @@ class Database {
 
   AdmissionGate* admission_gate() { return &admission_gate_; }
 
-  /// The database-wide singleflight table: installed on every inference
-  /// cache (shared and per-tenant) so identical in-flight inferences
-  /// dedup across tenants even when their caches are partitioned.
+  /// The database-wide singleflight table: every inference cache the
+  /// database builds (shared, per-tenant, persistent) runs its misses
+  /// through it, so identical in-flight inferences dedup across tenants
+  /// even when their caches are partitioned.
   InflightTable* inflight_table() { return &inflight_; }
 
   /// The database-wide cross-query batch former: like the inflight
-  /// table, installed on every inference cache so concurrent sessions'
+  /// table, shared by every inference cache so concurrent sessions'
   /// distinct cache-miss patches amortize one device invocation.
   /// Configured from ServingConfig (DEEPLENS_DEVICE_BATCH_SIZE /
   /// DEEPLENS_BATCH_WAIT_US); disabled by default.

@@ -21,7 +21,6 @@ BatchFormerStats BatchFormer::Stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   BatchFormerStats stats;
   stats.staged = staged_total_;
-  stats.joined = joined_;
   stats.invocations = invocations_;
   stats.batched_items = batched_items_;
   stats.size_flushes = size_flushes_;
@@ -34,37 +33,21 @@ BatchFormerStats BatchFormer::Stats() const {
   return stats;
 }
 
-BatchFormer::Outcome BatchFormer::Run(const std::string& queue_key,
-                                      const std::string& item_key,
-                                      const Item& item, InferenceCache* cache,
-                                      const BatchFn& batch_fn, bool* led) {
+BatchFormer::ItemOutcome BatchFormer::Run(const std::string& queue_key,
+                                          const Item& item,
+                                          const BatchFn& batch_fn) {
   std::unique_lock<std::mutex> lk(mu_);
   std::unique_ptr<Queue>& slot = queues_[queue_key];
   if (slot == nullptr) slot = std::make_unique<Queue>();
   Queue* q = slot.get();
   if (!q->batch_fn) q->batch_fn = batch_fn;
 
-  auto existing = q->staged.find(item_key);
-  if (existing != q->staged.end()) {
-    // A duplicate key is already staged (only possible when no inflight
-    // table fronts the former): attach to its flight.
-    ++joined_;
-    if (led != nullptr) *led = false;
-    std::shared_future<Outcome> future = existing->second->future;
-    lk.unlock();
-    return future.get();
-  }
-
-  if (led != nullptr) *led = true;
   ++staged_total_;
   auto entry = std::make_shared<Staged>();
-  entry->key = item_key;
   entry->item = item;
-  entry->cache = cache;
   entry->deadline = Clock::now() + std::chrono::microseconds(config_.wait_us);
-  entry->future = entry->promise.get_future().share();
+  std::future<ItemOutcome> future = entry->promise.get_future();
   q->pending.push_back(entry);
-  q->staged.emplace(item_key, entry);
   const uint64_t batch = std::max<uint64_t>(1, config_.batch_size);
 
   while (!entry->claimed) {
@@ -84,15 +67,14 @@ BatchFormer::Outcome BatchFormer::Run(const std::string& queue_key,
     // then self-flush. This is the no-stall guarantee — a staged patch
     // never outwaits its submitter's DEEPLENS_BATCH_WAIT_US.
     lk.unlock();
-    if (entry->future.wait_until(entry->deadline) ==
-        std::future_status::ready) {
-      return entry->future.get();
+    if (future.wait_until(entry->deadline) == std::future_status::ready) {
+      return future.get();
     }
     lk.lock();
   }
   // Claimed by a flusher: fulfillment is guaranteed, wait unbounded.
   lk.unlock();
-  return entry->future.get();
+  return future.get();
 }
 
 void BatchFormer::FlushLoop(Queue* q, std::unique_lock<std::mutex>& lk,
@@ -127,40 +109,21 @@ void BatchFormer::FlushLoop(Queue* q, std::unique_lock<std::mutex>& lk,
     items.reserve(chunk.size());
     for (const auto& e : chunk) items.push_back(&e->item);
     std::vector<ItemOutcome> outcomes = q->batch_fn(items);
-
-    std::vector<Outcome> results;
-    results.reserve(chunk.size());
     if (outcomes.size() != chunk.size()) {
       const Status bad = Status::Internal(
           "batch function returned " + std::to_string(outcomes.size()) +
           " outcomes for " + std::to_string(chunk.size()) + " items");
-      for (size_t i = 0; i < chunk.size(); ++i) results.emplace_back(bad);
-    } else {
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        if (!outcomes[i].ok()) {
-          results.emplace_back(outcomes[i].status());
-          continue;
-        }
-        auto shared = std::make_shared<const InferenceValue>(
-            std::move(outcomes[i]).value());
-        // Publish before the flight resolves so late arrivals hit the
-        // cache (the singleflight invariant).
-        if (chunk[i]->cache != nullptr) {
-          chunk[i]->cache->Put(chunk[i]->key, *shared);
-        }
-        results.emplace_back(std::move(shared));
-      }
+      outcomes.assign(chunk.size(), ItemOutcome(bad));
     }
 
     lk.lock();
-    for (const auto& e : chunk) q->staged.erase(e->key);
     ++invocations_;
     batched_items_ += chunk.size();
     max_batch_ = std::max<uint64_t>(max_batch_, chunk.size());
     q->cv.notify_all();
     lk.unlock();
     for (size_t i = 0; i < chunk.size(); ++i) {
-      chunk[i]->promise.set_value(std::move(results[i]));
+      chunk[i]->promise.set_value(std::move(outcomes[i]));
     }
     lk.lock();
   }

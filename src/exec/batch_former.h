@@ -1,13 +1,13 @@
 // Cross-query device batch formation: continuous batching for NN UDFs.
 //
-// The cascade optimizer (PR 9) makes full-model invocations sparse and
-// bursty, and the serving layer (PR 7) runs many sessions concurrently —
-// exactly the shape where per-invocation device overhead dominates. The
-// BatchFormer sits behind the `Cached*` UDF wrappers: cache-miss,
-// non-singleflight-duplicate patches from all concurrent sessions stage
-// into a per-(model, device) queue and are flushed as ONE batched model
-// invocation when either the size threshold (DEEPLENS_DEVICE_BATCH_SIZE)
-// or the deadline (DEEPLENS_BATCH_WAIT_US) fires.
+// The cascade optimizer makes full-model invocations sparse and bursty,
+// and the serving layer runs many sessions concurrently — exactly the
+// shape where per-invocation device overhead dominates. The BatchFormer
+// sits behind the `Cached*` UDF wrappers: distinct cache-miss patches
+// from all concurrent sessions stage into a per-(model, device) queue and
+// are flushed as ONE batched model invocation when either the size
+// threshold (DEEPLENS_DEVICE_BATCH_SIZE) or the deadline
+// (DEEPLENS_BATCH_WAIT_US) fires.
 //
 // There is no background flusher thread: the *submitters themselves*
 // drive flushes. A staged patch's submitter sleeps at most until its own
@@ -15,13 +15,11 @@
 // past DEEPLENS_BATCH_WAIT_US waiting on a batch that never fills, and a
 // draining database (`Drain()`) hands off nothing — it just flushes.
 //
-// Composition with the singleflight table (cache/inflight.h): the
-// inflight leader for a key routes its compute through `Run()`, so
-// joiners of a staged patch attach to its flight as before. The former's
-// own staged map additionally dedups identical keys when no inflight
-// table is installed. Completed outcomes are Put into the inference
-// cache *before* the flight resolves, preserving the invariant that late
-// arrivals hit the cache.
+// The former only batches. Dedup is the singleflight table's job
+// (cache/inflight.h): only a flight leader submits, so every staged patch
+// has a key no other staged patch shares, and identical misses wait on
+// the leader's flight rather than here. Publishing to the inference cache
+// is the leader's job too, once `Run()` hands its outcome back.
 #pragma once
 
 #include <atomic>
@@ -52,7 +50,6 @@ struct BatchFormerConfig {
 
 struct BatchFormerStats {
   uint64_t staged = 0;            // patches that entered a queue
-  uint64_t joined = 0;            // duplicate keys attached to a staged patch
   uint64_t invocations = 0;       // batched model invocations flushed
   uint64_t batched_items = 0;     // patches covered by those invocations
   uint64_t size_flushes = 0;      // flush chunks triggered by the threshold
@@ -74,17 +71,17 @@ class BatchFormer {
   };
 
   using ItemOutcome = Result<InferenceValue>;
-  using Outcome = Result<std::shared_ptr<const InferenceValue>>;
   /// Evaluates a claimed chunk in one device invocation. Must return
   /// exactly one outcome per item, in item order; a per-item error fails
-  /// only that item's callers (required for byte-identity of the other
+  /// only that item's caller (required for byte-identity of the other
   /// sessions' results).
   using BatchFn =
       std::function<std::vector<ItemOutcome>(const std::vector<const Item*>&)>;
 
   /// Cheap enough for the per-miss hot path.
-  bool enabled() const {
-    return batch_size_.load(std::memory_order_relaxed) > 0;
+  bool enabled() const { return batch_size() > 0; }
+  uint64_t batch_size() const {
+    return batch_size_.load(std::memory_order_relaxed);
   }
 
   BatchFormerConfig config() const;
@@ -93,14 +90,9 @@ class BatchFormer {
   void Configure(const BatchFormerConfig& config);
 
   /// Stages `item` on the `queue_key` queue (one queue per model+device)
-  /// and blocks until a flush resolves it. If `item_key` is already
-  /// staged, joins that entry instead of staging a duplicate. On
-  /// success, the outcome has been Put into `cache` (when non-null)
-  /// before this returns. `led` reports whether this call staged the
-  /// entry (true) or joined an existing one (false).
-  Outcome Run(const std::string& queue_key, const std::string& item_key,
-              const Item& item, InferenceCache* cache, const BatchFn& batch_fn,
-              bool* led = nullptr);
+  /// and blocks until a flush resolves it.
+  ItemOutcome Run(const std::string& queue_key, const Item& item,
+                  const BatchFn& batch_fn);
 
   /// Flushes every staged patch (used at reconfiguration and teardown so
   /// no submitter is left waiting on a batch that will never fill).
@@ -112,13 +104,10 @@ class BatchFormer {
   using Clock = std::chrono::steady_clock;
 
   struct Staged {
-    std::string key;
     Item item;
-    InferenceCache* cache = nullptr;
     Clock::time_point deadline;
     bool claimed = false;  // a flusher owns it; fulfillment is guaranteed
-    std::promise<Outcome> promise;
-    std::shared_future<Outcome> future;
+    std::promise<ItemOutcome> promise;
   };
 
   // Queues live behind unique_ptr so their addresses survive map rehash
@@ -127,7 +116,6 @@ class BatchFormer {
   struct Queue {
     BatchFn batch_fn;  // taken from the first submitter
     std::deque<std::shared_ptr<Staged>> pending;
-    std::unordered_map<std::string, std::shared_ptr<Staged>> staged;
     bool flush_active = false;  // at most one flusher per queue
     std::condition_variable cv;
   };
@@ -143,7 +131,6 @@ class BatchFormer {
   BatchFormerConfig config_;
   std::atomic<uint64_t> batch_size_{0};
   uint64_t staged_total_ = 0;
-  uint64_t joined_ = 0;
   uint64_t invocations_ = 0;
   uint64_t batched_items_ = 0;
   uint64_t size_flushes_ = 0;

@@ -363,15 +363,6 @@ Result<std::vector<PatchTuple>> NestedLoopJoin(PatchIterator* left,
   return NestedLoopJoin(std::move(lhs), std::move(rhs), predicate, stats);
 }
 
-Result<std::vector<PatchTuple>> NestedLoopJoin(BatchIterator* left,
-                                               BatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return NestedLoopJoin(std::move(lhs), std::move(rhs), predicate, stats);
-}
-
 // --- Hash equality ----------------------------------------------------------
 
 Result<std::vector<PatchTuple>> HashEqualityJoin(const PatchCollection& lhs,
@@ -485,15 +476,6 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(
                           stats);
 }
 
-Result<std::vector<PatchTuple>> HashEqualityJoin(
-    BatchIterator* left, BatchIterator* right, const std::string& key,
-    const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return HashEqualityJoin(std::move(lhs), std::move(rhs), key, residual,
-                          stats);
-}
-
 // --- Ball-tree similarity ---------------------------------------------------
 
 Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
@@ -564,16 +546,6 @@ Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
                                 residual, stats);
 }
 
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    BatchIterator* left, BatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual,
-    JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
-  return BallTreeSimilarityJoin(std::move(lhs), std::move(rhs), options,
-                                residual, stats);
-}
-
 // --- All-pairs (device kernel) ----------------------------------------------
 
 Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
@@ -626,15 +598,6 @@ Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
     nn::Device* device, const ExprPtr& residual, JoinStats* stats) {
   DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
   DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return AllPairsSimilarityJoin(std::move(lhs), std::move(rhs), max_distance,
-                                device, residual, stats);
-}
-
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    BatchIterator* left, BatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual, JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
   return AllPairsSimilarityJoin(std::move(lhs), std::move(rhs), max_distance,
                                 device, residual, stats);
 }
@@ -692,15 +655,6 @@ Result<std::vector<PatchTuple>> RTreeSpatialJoin(PatchIterator* left,
                                                  JoinStats* stats) {
   DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectPatches(left));
   DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectPatches(right));
-  return RTreeSpatialJoin(std::move(lhs), std::move(rhs), residual, stats);
-}
-
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(BatchIterator* left,
-                                                 BatchIterator* right,
-                                                 const ExprPtr& residual,
-                                                 JoinStats* stats) {
-  DL_ASSIGN_OR_RETURN(PatchCollection lhs, CollectBatchPatches(left));
-  DL_ASSIGN_OR_RETURN(PatchCollection rhs, CollectBatchPatches(right));
   return RTreeSpatialJoin(std::move(lhs), std::move(rhs), residual, stats);
 }
 

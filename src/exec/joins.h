@@ -39,9 +39,9 @@ struct JoinStats {
   double max_partition_skew = 0.0;
 };
 
-// Every join materializes both sides, so each comes in three flavours
-// sharing one batch-at-a-time core: tuple-iterator sources (legacy API),
-// batch-iterator sources, and pre-materialized collections. Pair
+// Every join materializes both sides, so the core takes pre-materialized
+// collections; the tuple-iterator form collects its inputs and calls it
+// (the baseline plans and the benches drive joins that way). Pair
 // predicates/residuals are evaluated through CompiledPredicate, batch-wise
 // where the join examines pairs in bulk.
 //
@@ -57,10 +57,6 @@ struct JoinStats {
 /// Materializes both sides; outer-loop morsels run in parallel.
 Result<std::vector<PatchTuple>> NestedLoopJoin(PatchIterator* left,
                                                PatchIterator* right,
-                                               const ExprPtr& predicate,
-                                               JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> NestedLoopJoin(BatchIterator* left,
-                                               BatchIterator* right,
                                                const ExprPtr& predicate,
                                                JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> NestedLoopJoin(
@@ -94,9 +90,6 @@ Result<std::vector<PatchTuple>> HashEqualityJoin(
     PatchIterator* left, PatchIterator* right, const std::string& key,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> HashEqualityJoin(
-    BatchIterator* left, BatchIterator* right, const std::string& key,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> HashEqualityJoin(
     const PatchCollection& left, const PatchCollection& right,
     const std::string& key,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr,
@@ -118,10 +111,6 @@ Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
     const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
     JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
-    BatchIterator* left, BatchIterator* right,
-    const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
     const PatchCollection& left, const PatchCollection& right,
     const SimilarityJoinOptions& options, const ExprPtr& residual = nullptr,
     JoinStats* stats = nullptr, const MorselOptions& morsels = {});
@@ -131,10 +120,6 @@ Result<std::vector<PatchTuple>> BallTreeSimilarityJoin(
 /// AVX comparison of §7.4.2), then filters by threshold.
 Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
     PatchIterator* left, PatchIterator* right, float max_distance,
-    nn::Device* device, const ExprPtr& residual = nullptr,
-    JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
-    BatchIterator* left, BatchIterator* right, float max_distance,
     nn::Device* device, const ExprPtr& residual = nullptr,
     JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
@@ -148,9 +133,6 @@ Result<std::vector<PatchTuple>> AllPairsSimilarityJoin(
 /// right side.
 Result<std::vector<PatchTuple>> RTreeSpatialJoin(
     PatchIterator* left, PatchIterator* right,
-    const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
-Result<std::vector<PatchTuple>> RTreeSpatialJoin(
-    BatchIterator* left, BatchIterator* right,
     const ExprPtr& residual = nullptr, JoinStats* stats = nullptr);
 Result<std::vector<PatchTuple>> RTreeSpatialJoin(
     const PatchCollection& left, const PatchCollection& right,

@@ -5,7 +5,6 @@
 #include "common/checksum.h"
 #include "common/clock.h"
 #include "core/cost_model.h"
-#include "exec/batch_former.h"
 
 namespace deeplens {
 
@@ -31,15 +30,6 @@ nn::Device* ResolveDevice(nn::Device* device) {
 double LiveHitRate(InferenceCache* cache) {
   if (cache == nullptr || !cache->enabled()) return 0.0;
   return cache->Stats().HitRate();
-}
-
-// Configured cross-query batch size for UdfUse: nonzero only when this
-// cache's misses will actually stage into an enabled batch former.
-uint64_t LiveDeviceBatchSize(InferenceCache* cache) {
-  if (cache == nullptr || !cache->enabled()) return 0;
-  BatchFormer* former = cache->batch_former();
-  if (former == nullptr || !former->enabled()) return 0;
-  return former->config().batch_size;
 }
 
 class OcrTextUdfExpr : public Expr {
@@ -72,7 +62,7 @@ class OcrTextUdfExpr : public Expr {
     out->push_back(UdfUse{model_names::kOcr, cached,
                           cached && cache_->persistent(),
                           LiveHitRate(cache_)});
-    out->back().device_batch_size = LiveDeviceBatchSize(cache_);
+    out->back().device_batch_size = cached ? cache_->device_batch_size() : 0;
   }
 
   bool has_proxy_value() const override { return true; }
@@ -141,7 +131,7 @@ class DepthUdfExpr : public Expr {
     out->push_back(UdfUse{model_names::kDepth, cached,
                           cached && cache_->persistent(),
                           LiveHitRate(cache_)});
-    out->back().device_batch_size = LiveDeviceBatchSize(cache_);
+    out->back().device_batch_size = cached ? cache_->device_batch_size() : 0;
   }
 
   bool has_proxy_value() const override { return true; }

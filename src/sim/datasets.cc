@@ -29,7 +29,6 @@ TrafficCamSim::TrafficCamSim(TrafficCamConfig config)
     : config_(std::move(config)) {
   Rng rng(config_.seed);
   const int w = config_.width;
-  const int h = config_.height;
 
   cars_.reserve(static_cast<size_t>(config_.num_cars));
   for (int i = 0; i < config_.num_cars; ++i) {

@@ -85,7 +85,7 @@ Image RenderScene(int width, int height, Background background,
                   uint64_t noise_seed, int noise_amplitude,
                   uint64_t texture_seed) {
   Image img(width, height, 3);
-  uint8_t bg[3];
+  uint8_t bg[3] = {0, 0, 0};
   BackgroundColor(background, bg);
   Rng rng(noise_seed);
   Rng texture(texture_seed != 0 ? texture_seed : noise_seed);

@@ -58,10 +58,10 @@ BatchFormer::BatchFn EchoFrameH() {
   };
 }
 
-double PayloadOf(const BatchFormer::Outcome& outcome) {
+double PayloadOf(const BatchFormer::ItemOutcome& outcome) {
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   if (!outcome.ok()) return -1.0;
-  const double* d = std::get_if<double>(&(*outcome)->payload);
+  const double* d = std::get_if<double>(&outcome->payload);
   EXPECT_NE(d, nullptr);
   return d != nullptr ? *d : -1.0;
 }
@@ -86,8 +86,7 @@ TEST(BatchFormerTest, ConcurrentDistinctPatchesBoundInvocations) {
         const int id = t * kItemsPerThread + i;
         BatchFormer::Item item;
         item.frame_h = id;
-        auto outcome = former.Run("ocr@cpu", "key" + std::to_string(id), item,
-                                  nullptr, EchoFrameH());
+        auto outcome = former.Run("ocr@cpu", item, EchoFrameH());
         if (PayloadOf(outcome) != static_cast<double>(id)) wrong.fetch_add(1);
       }
     });
@@ -111,7 +110,7 @@ TEST(BatchFormerTest, DeadlineFlushWithSingleSession) {
   BatchFormer::Item item;
   item.frame_h = 7;
   const auto start = steady_clock::now();
-  auto outcome = former.Run("ocr@cpu", "lonely", item, nullptr, EchoFrameH());
+  auto outcome = former.Run("ocr@cpu", item, EchoFrameH());
   const double ms = ElapsedMs(start);
   EXPECT_EQ(PayloadOf(outcome), 7.0);
   // Waited for batch-mates (~30ms) but nowhere near a stall; the bound
@@ -135,8 +134,7 @@ TEST(BatchFormerTest, DrainResolvesStagedPatches) {
     threads.emplace_back([&, t] {
       BatchFormer::Item item;
       item.frame_h = t;
-      auto outcome = former.Run("depth@cpu", "key" + std::to_string(t), item,
-                                nullptr, EchoFrameH());
+      auto outcome = former.Run("depth@cpu", item, EchoFrameH());
       if (PayloadOf(outcome) != static_cast<double>(t)) wrong.fetch_add(1);
     });
   }
@@ -181,8 +179,7 @@ TEST(BatchFormerTest, OversizedBacklogSplitsIntoChunks) {
   auto submit = [&](int id) {
     BatchFormer::Item item;
     item.frame_h = id;
-    auto outcome = former.Run("ocr@cpu", "key" + std::to_string(id), item,
-                              nullptr, blocking_fn);
+    auto outcome = former.Run("ocr@cpu", item, blocking_fn);
     if (PayloadOf(outcome) != static_cast<double>(id)) wrong.fetch_add(1);
   };
   std::vector<std::thread> threads;
@@ -233,17 +230,17 @@ TEST(BatchFormerTest, PerItemErrorFailsOnlyItsCaller) {
         }
         return out;
       };
-  BatchFormer::Outcome good = Status::Internal("unset");
-  BatchFormer::Outcome bad = Status::Internal("unset");
+  BatchFormer::ItemOutcome good = Status::Internal("unset");
+  BatchFormer::ItemOutcome bad = Status::Internal("unset");
   std::thread t1([&] {
     BatchFormer::Item item;
     item.frame_h = 4;
-    good = former.Run("depth@cpu", "good", item, nullptr, fn);
+    good = former.Run("depth@cpu", item, fn);
   });
   std::thread t2([&] {
     BatchFormer::Item item;
     item.frame_h = 13;
-    bad = former.Run("depth@cpu", "bad", item, nullptr, fn);
+    bad = former.Run("depth@cpu", item, fn);
   });
   t1.join();
   t2.join();
@@ -351,7 +348,8 @@ TEST_F(BatchFormerDbTest, ConcurrentBatchedByteIdenticalToUnbatched) {
 
   // Batching on. ConfigureServing retires tenant cache partitions, so
   // every session below starts cold and its misses stage into batches.
-  EnableBatching(/*batch_size=*/4, /*wait_us=*/20000);
+  constexpr int kWaitUs = 20000;
+  EnableBatching(/*batch_size=*/4, kWaitUs);
   constexpr int kThreads = 4;
   for (int rep = 0; rep < 2; ++rep) {
     std::atomic<int> mismatches{0};
@@ -360,6 +358,15 @@ TEST_F(BatchFormerDbTest, ConcurrentBatchedByteIdenticalToUnbatched) {
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t, rep] {
+        // Sessions scan rows in the same order, so two that start the
+        // same op together ask for the same key at every step and share
+        // one flight: nothing distinct is staged for a batch to form
+        // from. Starting each session a few deadlines after the last
+        // puts sessions on the same op at different rows, whose distinct
+        // misses then stage side by side. With 4 sessions and 2 ops, two
+        // of them always share their first op.
+        std::this_thread::sleep_for(std::chrono::microseconds(3 * kWaitUs) *
+                                    t);
         Session session = db_->CreateSession("tenant" + std::to_string(t));
         Rng rng(0xf04e5 + static_cast<uint64_t>(t) * 131 +
                 static_cast<uint64_t>(rep));

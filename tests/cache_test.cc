@@ -5,14 +5,17 @@
 // under ThreadSanitizer in CI).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "cache/cache_config.h"
 #include "cache/frequency_sketch.h"
 #include "cache/inference_cache.h"
+#include "cache/inflight.h"
 #include "cache/segment_cache.h"
 #include "cache/sharded_lru.h"
 #include "common/env.h"
@@ -513,6 +516,60 @@ TEST(InferenceCacheTest, KeysSeparateModelsFingerprintsAndVariants) {
   EXPECT_EQ(keys.size(), 5u);
 }
 
+// The singleflight race: a caller misses the cache, the previous flight's
+// leader Puts and erases its flight, and only then does the caller reach
+// the table and lead a new flight. Its re-check must find the published
+// value, so the model does not run again and no leader is counted.
+TEST(InferenceCacheTest, NewFlightLeaderServesValuePublishedSinceItsMiss) {
+  InferenceCache cache(1 << 20, 2, CacheAdmission::kLru);
+  const std::string key = InferenceCache::KeyFor("tiny-ocr@cpu", 42);
+  cache.Put(key, InferenceValue{std::string("published")});
+  const uint64_t leaders = cache.inflight()->Stats().leaders;
+  const uint64_t hits = cache.Stats().hits;
+
+  bool ran = false;
+  bool computed = false;
+  auto text = CachedMiss<std::string>(
+      &cache, key,
+      [&]() -> Result<std::string> {
+        ran = true;
+        return std::string("recomputed");
+      },
+      &computed);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text, "published");
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(computed);
+  EXPECT_EQ(cache.inflight()->Stats().leaders, leaders);
+  EXPECT_EQ(cache.Stats().hits, hits + 1);
+
+  // A published value of the wrong type is a miss: the leader evaluates,
+  // counts as a leader, and overwrites it.
+  const std::string depth_key = InferenceCache::KeyFor("tiny-depth@cpu", 42);
+  cache.Put(depth_key, InferenceValue{std::string("not a depth")});
+  auto depth = CachedMiss<double>(
+      &cache, depth_key, [&]() -> Result<double> { return 12.5; }, &computed);
+  ASSERT_TRUE(depth.ok()) << depth.status().ToString();
+  EXPECT_EQ(*depth, 12.5);
+  EXPECT_TRUE(computed);
+  EXPECT_EQ(cache.inflight()->Stats().leaders, leaders + 1);
+  auto stored = cache.Get(depth_key);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(std::get<double>(stored->payload), 12.5);
+
+  // A true miss: the re-check finds nothing and records no second miss
+  // (the caller's own lookup already counted it), so hit rates and the
+  // admission sketch see one access per evaluation.
+  const uint64_t misses = cache.Stats().misses;
+  auto fresh = CachedMiss<std::string>(
+      &cache, InferenceCache::KeyFor("tiny-ocr@cpu", 43),
+      [&]() -> Result<std::string> { return std::string("fresh"); });
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(*fresh, "fresh");
+  EXPECT_EQ(cache.Stats().misses, misses);
+  EXPECT_EQ(cache.inflight()->Stats().leaders, leaders + 2);
+}
+
 // --- Video decode caching ------------------------------------------------
 
 std::vector<Image> SyntheticFrames(int n, int w, int h) {
@@ -940,6 +997,63 @@ TEST(CacheContentionTest, ConcurrentInferenceCacheSharedByWorkers) {
   const CacheStats stats = cache.Stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LE(stats.entries, 64u);
+}
+
+// A standalone cache (no Database) dedups identical concurrent misses on
+// its own: K threads racing the same panels run exactly one inference per
+// panel, and every other evaluation joined a flight or hit the cache.
+TEST(CacheContentionTest, StandaloneCacheRunsEachInferenceOnce) {
+  constexpr int kPanels = 6;
+  constexpr int kThreads = 8;
+  InferenceCache cache(8 << 20, 2, CacheAdmission::kLru);
+  nn::TinyOcr ocr;
+  nn::Device* device = nn::GetDevice(nn::DeviceKind::kCpuVector);
+  std::vector<Patch> panels;
+  Rng rng(0x51f1);
+  for (int i = 0; i < kPanels; ++i) {
+    Image panel(64, 64, 3);
+    for (auto& b : panel.bytes()) {
+      b = static_cast<uint8_t>(10 + rng.NextU64Below(20));
+    }
+    sim::DrawDigits(&panel, nn::BBox{4, 20, 60, 44},
+                    std::to_string(100 + i));
+    Patch p;
+    p.set_pixels(std::move(panel));
+    p.set_bbox(nn::BBox{0, 0, 64, 64});
+    panels.push_back(std::move(p));
+  }
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::atomic<int>> runs(kPanels);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kPanels; ++i) {
+        const Patch& p = panels[static_cast<size_t>(i)];
+        bool computed = false;
+        auto text = CachedOcrText(ocr, p.pixels(), p.Fingerprint(), device,
+                                  &cache, &computed);
+        if (!text.ok()) failures.fetch_add(1);
+        if (computed) runs[static_cast<size_t>(i)].fetch_add(1);
+      }
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true);
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+  for (int i = 0; i < kPanels; ++i) {
+    EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << "panel " << i;
+  }
+  const InflightStats inflight = cache.inflight()->Stats();
+  EXPECT_EQ(inflight.leaders, static_cast<uint64_t>(kPanels));
+  EXPECT_EQ(inflight.leaders + inflight.joined + cache.Stats().hits,
+            static_cast<uint64_t>(kThreads) * kPanels);
 }
 
 }  // namespace

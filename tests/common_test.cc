@@ -7,11 +7,13 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/env.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -571,6 +573,43 @@ TEST_F(ColumnarKnobTest, ViewFormatMatrix) {
   }
   unsetenv("DEEPLENS_VIEW_FORMAT");
   EXPECT_EQ(columnar::ViewFormatFromEnv(), "columnar");
+}
+
+// --- Logging knob ---------------------------------------------------------
+// DEEPLENS_LOG goes through ChoiceFromEnv like every other choice knob:
+// a level outside the closed set keeps `warn`, and says so.
+
+TEST(LogKnobTest, LevelMatrix) {
+  const struct {
+    const char* value;
+    LogLevel expected;
+  } kCases[] = {
+      {"debug", LogLevel::kDebug},
+      {"info", LogLevel::kInfo},
+      {"warn", LogLevel::kWarn},
+      {"error", LogLevel::kError},
+      {"ERROR", LogLevel::kError},   // case-insensitive
+      {"verbose", LogLevel::kWarn},  // outside the closed set -> default
+      {"warning", LogLevel::kWarn},
+      {"2", LogLevel::kWarn},        // no numeric levels
+      {"", LogLevel::kWarn},
+      {"info ", LogLevel::kWarn},    // trailing space is not a match
+  };
+  for (const auto& c : kCases) {
+    setenv("DEEPLENS_LOG", c.value, 1);
+    EXPECT_EQ(LogLevelFromEnv(), c.expected) << "value='" << c.value << "'";
+  }
+  unsetenv("DEEPLENS_LOG");
+  EXPECT_EQ(LogLevelFromEnv(), LogLevel::kWarn);
+
+  // Garbage is rejected out loud, naming the knob.
+  SetLogLevel(LogLevel::kWarn);
+  setenv("DEEPLENS_LOG", "verbose", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(LogLevelFromEnv(), LogLevel::kWarn);
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("DEEPLENS_LOG");
+  EXPECT_NE(err.find("DEEPLENS_LOG='verbose'"), std::string::npos) << err;
 }
 
 // --- Optimizer knobs ------------------------------------------------------
