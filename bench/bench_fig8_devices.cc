@@ -2,6 +2,10 @@
 // (AVX), and (simulated) GPU — for both phases: neural-network-dominated
 // ETL time per dataset, and query time on the two image-matching queries
 // (q1, q4) where the matching kernel can run on any device (§7.4.2).
+// Every device runs ETL's model batches across the same host pool, so
+// the CPU devices get the host parallelism the simulated GPU gets; the
+// GPU's ETL edge is launch batching plus the modeled compute speedup
+// only.
 #include <cstdio>
 
 #include "bench_common.h"

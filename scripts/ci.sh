@@ -127,7 +127,8 @@ stage_tsan() {
     -DDEEPLENS_BUILD_FUZZERS=OFF
   cmake --build "$dir" -j"$NPROC" \
     --target exec_parallel_test exec_batch_test cache_test persistence_test \
-             serving_test columnar_test optimizer_test batch_former_test
+             serving_test columnar_test optimizer_test batch_former_test \
+             etl_test integration_test
   (cd "$dir" && ctest --output-on-failure -L parallel)
 }
 
@@ -143,7 +144,7 @@ stage_asan() {
   cmake --build "$dir" -j"$NPROC" \
     --target exec_parallel_test exec_batch_test cache_test persistence_test \
              storage_test serving_test columnar_test optimizer_test \
-             batch_former_test
+             batch_former_test etl_test integration_test
   (cd "$dir" && ctest --output-on-failure -L 'parallel|persistence')
 }
 

@@ -20,10 +20,12 @@
 // run the failing inference itself).
 //
 // Deadlock-safety: joiners block on a shared_future while holding no
-// locks, and the leader computes on its own thread without touching the
-// pool, so a joined worker always unblocks once the leader's model call
-// returns. Morsel workers may join; they never lead *and* wait on the
-// same key.
+// locks, and the leader computes on its own thread. A batched model call
+// may spread its items over the pool, but ThreadPool::ParallelFor lets
+// its caller run every chunk itself, so the leader finishes even when
+// every worker is a blocked joiner, and a joined worker always unblocks
+// once the leader's model call returns. Morsel workers may join; they
+// never lead *and* wait on the same key.
 #pragma once
 
 #include <cstdint>

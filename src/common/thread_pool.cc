@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 #include "common/env.h"
 
@@ -41,22 +43,36 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   const size_t n = end - begin;
   const size_t max_chunks = (n + grain - 1) / grain;
   const size_t num_chunks = std::min(max_chunks, num_threads() * 4);
-  if (num_chunks <= 1) {
+  if (num_chunks <= 1 || num_threads() <= 1 || InWorker()) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
   const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    futs.push_back(Submit([lo, hi, &fn] {
+  // Chunks are claimed from a shared counter by the caller and by up to
+  // num_threads() helper tasks. A helper that starts after every chunk
+  // is claimed returns without touching `fn`, so the job state is shared
+  // (helpers may outlive this call) while `fn` is borrowed.
+  struct Job {
+    std::atomic<size_t> next{0};
+    size_t done = 0;
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  auto job = std::make_shared<Job>();
+  const auto run_chunks = [job, &fn, begin, end, chunk, num_chunks] {
+    for (size_t c; (c = job->next.fetch_add(1)) < num_chunks;) {
+      const size_t lo = begin + c * chunk;
+      const size_t hi = std::min(end, lo + chunk);
       for (size_t i = lo; i < hi; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futs) f.wait();
+      std::lock_guard<std::mutex> lock(job->mu);
+      if (++job->done == num_chunks) job->cv.notify_all();
+    }
+  };
+  const size_t helpers = std::min(num_chunks - 1, num_threads());
+  for (size_t h = 0; h < helpers; ++h) Submit(run_chunks);
+  run_chunks();
+  std::unique_lock<std::mutex> lock(job->mu);
+  job->cv.wait(lock, [&] { return job->done == num_chunks; });
 }
 
 ThreadPool& ThreadPool::Global() {

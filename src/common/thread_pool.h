@@ -32,7 +32,11 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [begin, end), split into roughly equal chunks
   /// across the pool, and blocks until all complete. Grain controls the
-  /// minimum chunk size.
+  /// minimum chunk size. The caller claims chunks alongside the workers,
+  /// so the loop finishes even when every worker is busy or blocked. It
+  /// runs inline on the caller when called from a pool worker (a nested
+  /// loop would wait on chunks queued behind its own worker) or when the
+  /// pool is one worker wide.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn, size_t grain = 1);
 

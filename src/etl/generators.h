@@ -2,7 +2,8 @@
 // Three instantiations mirror the paper's: object detection (TinySSD),
 // OCR (TinySSD text regions + TinyOCR), and whole-image patches; a tiling
 // generator is included for classical segmentation-style workloads.
-// Generators batch frames through the device so GPU launches amortize.
+// Generators batch frames through the device so GPU launches amortize and
+// the frames of a window run in parallel on the host pool.
 #pragma once
 
 #include <atomic>
@@ -34,8 +35,11 @@ struct EtlOptions {
   LineageStore* lineage = nullptr;
   /// Monotonic patch-id allocator (shared across a Database).
   std::atomic<uint64_t>* id_counter = nullptr;
-  /// Frames per inference batch (amortizes GPU launch overhead).
-  int batch_size = 8;
+  /// Frames per generator window: one DetectBatch per window. The window
+  /// amortizes the GPU's launch overhead and gives every pool worker
+  /// several frames of the batch; ids, lineage and emit order are assigned
+  /// serially after the batch returns.
+  int batch_size = 32;
   /// When set, generator-side detector/OCR runs are memoized by frame
   /// fingerprint, so re-running ETL over unchanged frames is
   /// lookup-bound (Database::MakeEtlOptions wires the database's cache).

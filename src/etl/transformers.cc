@@ -75,20 +75,23 @@ Tensor ColorHistogramFeature(const Image& patch,
   return feature;
 }
 
+std::function<Result<PatchTuple>(PatchTuple)> ColorHistogramMap(
+    ColorHistogramOptions options) {
+  return [options](PatchTuple tuple) -> Result<PatchTuple> {
+    for (Patch& p : tuple) {
+      if (!p.has_pixels()) {
+        return Status::InvalidArgument(
+            "ColorHistogramTransformer needs pixel data");
+      }
+      p.set_features(ColorHistogramFeature(p.pixels(), options));
+    }
+    return tuple;
+  };
+}
+
 PatchIteratorPtr MakeColorHistogramTransformer(
     PatchIteratorPtr child, ColorHistogramOptions options) {
-  return MakeMap(std::move(child),
-                 [options](PatchTuple tuple) -> Result<PatchTuple> {
-                   for (Patch& p : tuple) {
-                     if (!p.has_pixels()) {
-                       return Status::InvalidArgument(
-                           "ColorHistogramTransformer needs pixel data");
-                     }
-                     p.set_features(
-                         ColorHistogramFeature(p.pixels(), options));
-                   }
-                   return tuple;
-                 });
+  return MakeMap(std::move(child), ColorHistogramMap(options));
 }
 
 PatchIteratorPtr MakeDepthTransformer(PatchIteratorPtr child,

@@ -3,6 +3,8 @@
 // depth-prediction network — plus resize and OCR-annotation transformers.
 #pragma once
 
+#include <functional>
+
 #include "etl/generators.h"
 #include "exec/operators.h"
 #include "nn/models.h"
@@ -26,7 +28,13 @@ struct ColorHistogramOptions {
 Tensor ColorHistogramFeature(const Image& patch,
                              const ColorHistogramOptions& options);
 
-/// Sets `features` on every patch from its pixels (L1-normalized).
+/// Per-tuple body of the color-histogram transformer: sets `features` on
+/// every patch from its pixels (L1-normalized). Thread-safe, so it can run
+/// as a morsel-parallel BatchPipeline::Map stage.
+std::function<Result<PatchTuple>(PatchTuple)> ColorHistogramMap(
+    ColorHistogramOptions options);
+
+/// MakeMap of ColorHistogramMap over `child`.
 PatchIteratorPtr MakeColorHistogramTransformer(
     PatchIteratorPtr child, ColorHistogramOptions options);
 

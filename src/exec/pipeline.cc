@@ -209,7 +209,30 @@ Result<std::vector<PatchTuple>> BatchPipeline::Run(
 Result<PatchCollection> BatchPipeline::RunOnPatches(
     const PatchCollection& rows, const MorselOptions& options,
     PipelineStats* stats) const {
+  return RunOnPatchRows(rows, /*owned=*/nullptr, options, stats);
+}
+
+Result<PatchCollection> BatchPipeline::RunOnPatches(
+    PatchCollection&& rows, const MorselOptions& options,
+    PipelineStats* stats) const {
+  return RunOnPatchRows(rows, &rows, options, stats);
+}
+
+Result<PatchCollection> BatchPipeline::RunOnPatchRows(
+    const PatchCollection& rows, PatchCollection* owned,
+    const MorselOptions& options, PipelineStats* stats) const {
   Stopwatch timer;
+  // Row i as a 1-tuple. Each morsel reads (and, when owned, moves from)
+  // only its own rows.
+  const auto tuple_of = [&](size_t i) {
+    PatchTuple t;
+    if (owned != nullptr) {
+      t.push_back(std::move((*owned)[i]));
+    } else {
+      t.push_back(rows[i]);
+    }
+    return t;
+  };
   const size_t n = rows.size();
   const MorselPlan plan = PlanMorsels(n, options);
   std::vector<PatchCollection> partials(plan.num_morsels);
@@ -226,13 +249,13 @@ Result<PatchCollection> BatchPipeline::RunOnPatches(
           DL_RETURN_NOT_OK(stages_[0].predicate.EvalPatchRows(
               rows.data() + lo, hi - lo, selection.data()));
           for (size_t i = 0; i < hi - lo; ++i) {
-            if (selection[i]) working.push_back(PatchTuple{rows[lo + i]});
+            if (selection[i]) working.push_back(tuple_of(lo + i));
           }
           first_stage = 1;
         } else {
           working.reserve(hi - lo);
           for (size_t i = lo; i < hi; ++i) {
-            working.push_back(PatchTuple{rows[i]});
+            working.push_back(tuple_of(i));
           }
         }
         DL_RETURN_NOT_OK(RunStagesOnTuples(&working, first_stage));

@@ -110,6 +110,13 @@ class BatchPipeline {
                                        const MorselOptions& options = {},
                                        PipelineStats* stats = nullptr) const;
 
+  /// Same, consuming `rows`: each patch is moved into its tuple instead of
+  /// copied, so a collection that is not needed afterwards is never held
+  /// twice.
+  Result<PatchCollection> RunOnPatches(PatchCollection&& rows,
+                                       const MorselOptions& options = {},
+                                       PipelineStats* stats = nullptr) const;
+
  private:
   struct Stage {
     enum class Kind { kFilter, kMap, kProject };
@@ -119,6 +126,13 @@ class BatchPipeline {
     std::function<Result<PatchTuple>(PatchTuple)> map_fn;  // kMap
     ProjectSpec project;           // kProject
   };
+
+  // RunOnPatches body; moves rows out of `owned` (which aliases `rows`)
+  // when it is set, copies them otherwise.
+  Result<PatchCollection> RunOnPatchRows(const PatchCollection& rows,
+                                         PatchCollection* owned,
+                                         const MorselOptions& options,
+                                         PipelineStats* stats) const;
 
   // Applies stages [first_stage..] to `working` in place.
   Status RunStagesOnTuples(std::vector<PatchTuple>* working,

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
@@ -21,6 +22,26 @@ const char* DeviceKindName(DeviceKind kind) {
       return "gpu";
   }
   return "?";
+}
+
+void Device::ParallelMap(size_t n, const std::function<void(size_t)>& fn,
+                         size_t /*transfer_bytes*/) {
+  ThreadPool::Global().ParallelFor(0, n, fn);
+}
+
+Status RunBatch(Device* device, size_t n, size_t transfer_bytes,
+                const std::function<Status(size_t, Device*)>& item) {
+  if (n == 0) return Status::OK();
+  Device* math = device->kind() == DeviceKind::kGpuSim
+                     ? GetDevice(DeviceKind::kCpuVector)
+                     : device;
+  std::vector<Status> status(n);
+  device->ParallelMap(
+      n, [&](size_t i) { status[i] = item(i, math); }, transfer_bytes);
+  for (Status& st : status) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -50,10 +71,6 @@ class CpuScalarDevice : public Device {
       }
     }
   }
-  void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
-                   size_t /*transfer_bytes*/) override {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
 };
 
 class CpuVectorDevice : public Device {
@@ -80,10 +97,6 @@ class CpuVectorDevice : public Device {
             ops::L2SquaredVector(a + i * dim, b + j * dim, dim);
       }
     }
-  }
-  void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
-                   size_t /*transfer_bytes*/) override {
-    for (size_t i = 0; i < n; ++i) fn(i);
   }
 };
 
@@ -168,7 +181,7 @@ class GpuSimDevice : public Device {
   void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
                    size_t transfer_bytes) override {
     KernelScope scope(this, ChargeOverhead(transfer_bytes));
-    ThreadPool::Global().ParallelFor(0, n, fn);
+    Device::ParallelMap(n, fn, transfer_bytes);
   }
 
   uint64_t simulated_overhead_nanos() const override {

@@ -1,14 +1,18 @@
 // Execution-device abstraction for compute kernels (paper §7.4.2).
 //
 // Three backends reproduce the paper's CPU / AVX / GPU comparison:
-//  * kCpuScalar — single-threaded scalar kernels (the "CPU" bars).
-//  * kCpuVector — single-threaded vectorized kernels (the "AVX" bars).
+//  * kCpuScalar — scalar kernels (the "CPU" bars).
+//  * kCpuVector — vectorized kernels (the "AVX" bars).
 //  * kGpuSim    — a *simulated* accelerator: kernels run vectorized and
 //    data-parallel across a thread pool (high throughput), but every
 //    launch pays a fixed kernel-launch latency plus a host↔device
 //    transfer cost proportional to the bytes touched. This reproduces the
 //    behaviour the paper reports: large batched ETL wins big on GPU,
 //    small query-time workloads lose to the launch/transfer overhead.
+// Each kernel call runs on one host thread on the CPU backends. Model
+// batches (RunBatch) spread their items over the host pool on every
+// backend, so the GPU's batched-ETL edge is launch batching plus the
+// modeled compute speedup, not extra host cores.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +71,12 @@ class Device {
   virtual void PairwiseL2Squared(const float* a, size_t na, const float* b,
                                  size_t nb, size_t dim, float* out) = 0;
 
-  /// Runs fn(i) for i in [0, n). The GPU backend executes across the
-  /// thread pool and charges one launch + `transfer_bytes` of copy cost;
-  /// CPU backends run sequentially with no overhead.
+  /// Runs fn(i) for i in [0, n) across ThreadPool::Global() on every
+  /// backend; the GPU backend also charges one launch + `transfer_bytes`
+  /// of copy cost. Runs inline when called from a pool worker or when the
+  /// pool is one worker wide. fn(i) must touch only item i's state.
   virtual void ParallelMap(size_t n, const std::function<void(size_t)>& fn,
-                           size_t transfer_bytes = 0) = 0;
+                           size_t transfer_bytes = 0);
 
   /// Total simulated overhead charged so far (0 for CPU backends).
   virtual uint64_t simulated_overhead_nanos() const { return 0; }
@@ -91,6 +96,17 @@ class Device {
   /// Resets both kernel clocks.
   virtual void ResetKernelClocks() {}
 };
+
+/// Runs one model batch: item(i, math) for i in [0, n) through a single
+/// device->ParallelMap, so the GPU pays one launch and transfer charge
+/// for the whole batch and every backend spreads items over the pool.
+/// `math` is the device the item's kernels go through: `device` itself on
+/// CPU backends (a forwarding device sees every kernel call) and the
+/// vectorized host kernels on kGpuSim, whose per-item math runs "on
+/// device" under the batch's one launch. Items must write only their own
+/// output slots. Returns the Status of the earliest failing item.
+Status RunBatch(Device* device, size_t n, size_t transfer_bytes,
+                const std::function<Status(size_t, Device*)>& item);
 
 /// Returns the shared instance for a backend. Never null.
 Device* GetDevice(DeviceKind kind);

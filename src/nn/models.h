@@ -45,7 +45,9 @@ class TinySsdDetector {
   Result<std::vector<Detection>> Detect(const Image& frame,
                                         Device* device) const;
 
-  /// Batched variant: one GPU launch for the whole batch.
+  /// Batched variant (one RunBatch): one GPU launch for the whole batch,
+  /// frames spread over the host pool on every device. Output i equals
+  /// Detect(frames[i]); a bad frame fails with its own Status.
   Result<std::vector<std::vector<Detection>>> DetectBatch(
       const std::vector<Image>& frames, Device* device) const;
 
@@ -76,10 +78,9 @@ class TinyOcr {
   Result<std::string> RecognizeText(const Image& patch,
                                     Device* device) const;
 
-  /// Batched variant for the cross-query batch former: one device launch
-  /// for the whole batch on GpuSim, a plain loop of RecognizeText on CPU
-  /// backends (so batched output is identical to unbatched by
-  /// construction). Returns one string per patch, in order.
+  /// Batched variant for the cross-query batch former: one RunBatch of
+  /// RecognizeText (one launch on GpuSim), so batched output is identical
+  /// to unbatched by construction. Returns one string per patch, in order.
   Result<std::vector<std::string>> RecognizeTextBatch(
       const std::vector<const Image*>& patches, Device* device) const;
 
@@ -112,9 +113,9 @@ class TinyDepth {
                              int frame_h, Device* device) const;
 
   /// Batched variant for the cross-query batch former (parallel arrays,
-  /// one entry per item): one device launch on GpuSim, a loop of
-  /// PredictDepth on CPU backends. Any degenerate item fails the whole
-  /// batch — callers that need per-item isolation pre-validate.
+  /// one entry per item): one RunBatch of PredictDepth (one launch on
+  /// GpuSim). Any degenerate item fails the whole batch with its own
+  /// Status — callers that need per-item isolation pre-validate.
   Result<std::vector<float>> PredictDepthBatch(
       const std::vector<const Image*>& patches,
       const std::vector<BBox>& bboxes, const std::vector<int>& frame_hs,

@@ -39,9 +39,9 @@ class Network {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// Runs `net` over a batch of inputs. On the GPU backend the batch is
-/// dispatched as one ParallelMap (single launch + one transfer charge);
-/// on CPU backends items run sequentially.
+/// Runs `net` over a batch of inputs as one RunBatch: a single launch and
+/// transfer charge on the GPU backend, items spread over the host pool on
+/// every backend.
 Result<std::vector<Tensor>> ForwardBatch(const Network& net,
                                          const std::vector<Tensor>& inputs,
                                          Device* device);

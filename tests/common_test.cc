@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -320,6 +324,64 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
   bool ran = false;
   pool.ParallelFor(5, 5, [&](size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// Both workers of a 2-worker pool enter a ParallelFor at the same time.
+// Queued chunks would sit behind the two blocked workers forever, so the
+// nested loops must run inline on their workers. A hang fails on the
+// wait_for timeout; the pool is then leaked rather than joined.
+TEST(ThreadPoolTest, NestedParallelForInSaturatedPoolCompletes) {
+  auto pool = std::make_unique<ThreadPool>(2);
+  std::atomic<int> entered{0};
+  std::atomic<int> hits{0};
+  std::vector<std::future<void>> futs;
+  for (int t = 0; t < 2; ++t) {
+    futs.push_back(pool->Submit([&] {
+      ++entered;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (entered.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      pool->ParallelFor(0, 64, [&](size_t) { ++hits; });
+    }));
+  }
+  for (auto& f : futs) {
+    if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      pool.release();
+      FAIL() << "nested ParallelFor deadlocked the pool";
+    }
+  }
+  EXPECT_EQ(entered.load(), 2);
+  EXPECT_EQ(hits.load(), 128);
+}
+
+// The caller claims chunks too: a ParallelFor from outside the pool
+// finishes even while every worker is blocked (e.g. a worker waiting on
+// an inference flight whose leader is this caller).
+TEST(ThreadPoolTest, ParallelForFinishesWhileWorkersAreBlocked) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> blockers;
+  for (int t = 0; t < 2; ++t) {
+    blockers.push_back(pool.Submit([released] { released.wait(); }));
+  }
+  std::vector<std::atomic<int>> hits(100);
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread caller([&] {
+    pool.ParallelFor(0, 100, [&](size_t i) { hits[i]++; });
+    done.set_value();
+  });
+  const bool in_time = finished.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready;
+  release.set_value();
+  caller.join();
+  for (auto& b : blockers) b.wait();
+  EXPECT_TRUE(in_time) << "ParallelFor waited on blocked workers";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- Serving env knobs ----------------------------------------------------

@@ -1,14 +1,22 @@
 // Unit tests for etl/: patch generators (metadata, lineage, batching),
 // transformers (featurization properties, resize, OCR/depth annotation),
-// and materialized views (round-trip, reopen).
+// parallel-vs-serial ETL equivalence, and materialized views (round-trip,
+// reopen).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <set>
+#include <thread>
 
+#include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "etl/generators.h"
 #include "etl/materialize.h"
 #include "etl/transformers.h"
+#include "exec/pipeline.h"
 #include "sim/datasets.h"
 #include "tensor/ops.h"
 
@@ -345,6 +353,185 @@ TEST(OcrTransformerTest, AnnotatesLegibleText) {
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(*(*out)[0].meta().Get(meta_keys::kText).AsString().value(),
             "37");
+}
+
+// --- Frame-parallel ETL ----------------------------------------------------
+
+// Forwards every kernel to the vectorized CPU device and records the
+// threads the kernels ran on. ParallelMap is the base class's pool map.
+class ThreadRecordingDevice : public nn::Device {
+ public:
+  nn::DeviceKind kind() const override { return nn::DeviceKind::kCpuVector; }
+  void Matmul(const float* a, const float* b, float* c, size_t m, size_t k,
+              size_t n) override {
+    Note();
+    inner_->Matmul(a, b, c, m, k, n);
+  }
+  void Relu(float* x, size_t n) override {
+    Note();
+    inner_->Relu(x, n);
+  }
+  void Add(const float* a, const float* b, float* out, size_t n) override {
+    Note();
+    inner_->Add(a, b, out, n);
+  }
+  void ScaleBias(const float* a, float scale, float bias, float* out,
+                 size_t n) override {
+    Note();
+    inner_->ScaleBias(a, scale, bias, out, n);
+  }
+  void PairwiseL2Squared(const float* a, size_t na, const float* b,
+                         size_t nb, size_t dim, float* out) override {
+    Note();
+    inner_->PairwiseL2Squared(a, na, b, nb, dim, out);
+  }
+
+  size_t num_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  void Note() {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+  }
+
+  nn::Device* inner_ = nn::GetDevice(nn::DeviceKind::kCpuVector);
+  mutable std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+struct TrafficEtl {
+  PatchCollection patches;
+  LineageStore lineage;
+};
+
+// The traffic ETL chain: detector generator → color histogram → depth on
+// persons. The per-patch stages run as morsel-parallel Map stages over the
+// drained generator, or, with `streaming`, lazily bound over it (the
+// serial oracle, which has no morsel merge).
+Status RunTrafficChain(const std::vector<Image>& frames, nn::Device* device,
+                       bool streaming, TrafficEtl* out) {
+  const nn::TinySsdDetector detector;
+  const nn::TinyDepth depth(nn::kFocalTimesHeight);
+  std::atomic<uint64_t> counter{1};
+  EtlOptions options;
+  options.device = device;
+  options.dataset_name = "traffic";
+  options.lineage = &out->lineage;
+  options.id_counter = &counter;
+  auto gen = MakeObjectDetectorGenerator(FramesFromVector(frames), &detector,
+                                         options);
+  const int frame_h = frames.front().height();
+  BatchPipeline stages;
+  stages.Map(ColorHistogramMap(ColorHistogramOptions()))
+      .Map([&](PatchTuple tuple) -> Result<PatchTuple> {
+        for (Patch& p : tuple) {
+          if (*p.meta().Get(meta_keys::kLabel).AsString().value() !=
+              "person") {
+            continue;
+          }
+          DL_ASSIGN_OR_RETURN(
+              float d, depth.PredictDepth(p.pixels(), p.bbox(), frame_h,
+                                          device));
+          p.mutable_meta().Set(meta_keys::kDepth, static_cast<double>(d));
+        }
+        return tuple;
+      });
+  if (streaming) {
+    auto bound = stages.Bind(TupleToBatch(std::move(gen)));
+    DL_ASSIGN_OR_RETURN(out->patches, CollectBatchPatches(bound.get()));
+    return Status::OK();
+  }
+  DL_ASSIGN_OR_RETURN(PatchCollection detections, CollectPatches(gen.get()));
+  MorselOptions morsels;
+  morsels.batch_size = 4;
+  DL_ASSIGN_OR_RETURN(out->patches,
+                      stages.RunOnPatches(std::move(detections), morsels));
+  return Status::OK();
+}
+
+std::vector<uint8_t> PatchBytes(const Patch& p) {
+  ByteBuffer buf;
+  p.SerializeInto(&buf);
+  return buf.data();
+}
+
+// Parallel ETL (detector windows over the pool, morsel-parallel stages)
+// against the same chain inside a pool worker, where every
+// parallel construct runs inline, and against the streaming chain: ids,
+// refs, bboxes, metadata, features, pixels and lineage must match byte
+// for byte.
+TEST(ParallelEtlTest, ByteIdenticalToSerialInsideAWorker) {
+  const std::vector<Image> frames = TrafficFrames(48);
+
+  ThreadRecordingDevice parallel_device;
+  TrafficEtl parallel;
+  ASSERT_TRUE(
+      RunTrafficChain(frames, &parallel_device, false, &parallel).ok());
+
+  ThreadRecordingDevice serial_device;
+  TrafficEtl serial;
+  Status serial_status;
+  auto done = ThreadPool::Global().Submit([&] {
+    serial_status = RunTrafficChain(frames, &serial_device, false, &serial);
+  });
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(120)),
+            std::future_status::ready);
+  ASSERT_TRUE(serial_status.ok()) << serial_status.ToString();
+
+  if (ThreadPool::Global().num_threads() > 1) {
+    EXPECT_GT(parallel_device.num_threads(), 1u);
+  }
+  EXPECT_EQ(serial_device.num_threads(), 1u);
+
+  TrafficEtl streaming;
+  ASSERT_TRUE(RunTrafficChain(frames, nn::GetDevice(nn::DeviceKind::kCpuVector),
+                              true, &streaming)
+                  .ok());
+
+  ASSERT_GT(parallel.patches.size(), 0u);
+  size_t with_depth = 0;
+  for (const TrafficEtl* other : {&serial, &streaming}) {
+    ASSERT_EQ(parallel.patches.size(), other->patches.size());
+    EXPECT_EQ(parallel.lineage.size(), other->lineage.size());
+    for (size_t i = 0; i < parallel.patches.size(); ++i) {
+      const Patch& p = parallel.patches[i];
+      const Patch& q = other->patches[i];
+      EXPECT_EQ(PatchBytes(p), PatchBytes(q)) << "row " << i;
+      auto p_chain = parallel.lineage.Chain(p.id());
+      auto q_chain = other->lineage.Chain(q.id());
+      ASSERT_TRUE(p_chain.ok());
+      ASSERT_TRUE(q_chain.ok());
+      EXPECT_EQ(*p_chain, *q_chain) << "row " << i;
+    }
+  }
+  for (const Patch& p : parallel.patches) {
+    EXPECT_TRUE(p.has_features());
+    if (!p.meta().Get(meta_keys::kDepth).is_null()) ++with_depth;
+  }
+  EXPECT_GT(with_depth, 0u);
+}
+
+// A bad frame in the middle of a generator window fails the batch with
+// the detector's own typed error on every device.
+TEST(ParallelEtlTest, NonRgbFrameMidWindowIsInvalidArgument) {
+  std::vector<Image> frames = TrafficFrames(12);
+  frames[5] = Image(frames[5].width(), frames[5].height(), 1);
+  const nn::TinySsdDetector detector;
+  for (nn::DeviceKind kind :
+       {nn::DeviceKind::kCpuScalar, nn::DeviceKind::kCpuVector,
+        nn::DeviceKind::kGpuSim}) {
+    EtlOptions options;
+    options.device = nn::GetDevice(kind);
+    auto gen = MakeObjectDetectorGenerator(FramesFromVector(frames),
+                                           &detector, options);
+    auto patches = CollectPatches(gen.get());
+    ASSERT_FALSE(patches.ok()) << nn::DeviceKindName(kind);
+    EXPECT_TRUE(patches.status().IsInvalidArgument())
+        << nn::DeviceKindName(kind) << ": " << patches.status().ToString();
+  }
 }
 
 // --- Materialized views --------------------------------------------------

@@ -3,8 +3,12 @@
 // and cross-layer consistency.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 
+#include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "core/benchmark_queries.h"
 #include "tensor/ops.h"
 
@@ -16,11 +20,7 @@ namespace {
 // every test reads but does not mutate the views.
 class WorkloadTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    root_ = (std::filesystem::temp_directory_path() /
-             ("dl_integration_" + std::to_string(::getpid())))
-                .string();
-    std::filesystem::remove_all(root_);
+  static WorkloadConfig SmallConfig() {
     WorkloadConfig config;
     config.traffic.num_frames = 220;
     config.football.num_videos = 4;
@@ -28,7 +28,15 @@ class WorkloadTest : public ::testing::Test {
     config.pc.num_images = 80;
     config.pc.num_duplicates = 8;
     config.pc.num_text_images = 20;
-    auto workload = BenchmarkWorkload::Create(root_, config);
+    return config;
+  }
+
+  static void SetUpTestSuite() {
+    root_ = (std::filesystem::temp_directory_path() /
+             ("dl_integration_" + std::to_string(::getpid())))
+                .string();
+    std::filesystem::remove_all(root_);
+    auto workload = BenchmarkWorkload::Create(root_, SmallConfig());
     ASSERT_TRUE(workload.ok()) << workload.status().ToString();
     workload_ = std::move(workload).value().release();
     ASSERT_TRUE(workload_->RunEtl(nullptr, &etl_).ok());
@@ -58,6 +66,47 @@ TEST_F(WorkloadTest, EtlProducedAllViews) {
     ASSERT_TRUE(v.ok()) << view;
     EXPECT_GT((*v)->patches.size(), 0u) << view;
   }
+}
+
+// RunEtl inside a pool worker runs every parallel construct inline (the
+// detector windows, the morsel-parallel stages and the jersey OCR). Its
+// five views and their lineage must equal the parallel run's byte for
+// byte.
+TEST_F(WorkloadTest, EtlInsideAWorkerIsByteIdentical) {
+  const std::string root = root_ + "_serial";
+  std::filesystem::remove_all(root);
+  auto serial = BenchmarkWorkload::Create(root, SmallConfig());
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  Status status;
+  auto done = ThreadPool::Global().Submit(
+      [&] { status = (*serial)->RunEtl(nullptr, nullptr); });
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(300)),
+            std::future_status::ready);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const auto bytes = [](const Patch& p) {
+    ByteBuffer buf;
+    p.SerializeInto(&buf);
+    return buf.data();
+  };
+  for (const char* name :
+       {"traffic_dets", "pc_images", "pc_text", "football_players",
+        "football_jerseys"}) {
+    auto parallel_view = workload_->db()->GetView(name);
+    auto serial_view = (*serial)->db()->GetView(name);
+    ASSERT_TRUE(parallel_view.ok() && serial_view.ok()) << name;
+    const PatchCollection& p = (*parallel_view)->patches;
+    const PatchCollection& q = (*serial_view)->patches;
+    ASSERT_EQ(p.size(), q.size()) << name;
+    for (size_t i = 0; i < p.size(); ++i) {
+      ASSERT_EQ(bytes(p[i]), bytes(q[i])) << name << " row " << i;
+      auto p_chain = workload_->db()->lineage()->Chain(p[i].id());
+      auto q_chain = (*serial)->db()->lineage()->Chain(q[i].id());
+      ASSERT_TRUE(p_chain.ok() && q_chain.ok()) << name << " row " << i;
+      EXPECT_EQ(*p_chain, *q_chain) << name << " row " << i;
+    }
+  }
+  serial->reset();
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(WorkloadTest, EveryPatchHasLineage) {

@@ -15,11 +15,13 @@
 // many threads here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,43 +307,59 @@ TEST(MorselSchedulerTest, ShortTaskSetNotStarvedByLongOne) {
   EXPECT_GE(stats.tasks_by_tenant.at("short"), 8u);
 }
 
-// Weights bias the interleave: with equal-size task sets racing, the
-// weight-8 tenant drains first.
+// Weights bias the interleave: while a weight-8 and a weight-1 set are
+// both queued, the weight-8 set claims ~8 of every 9 task slots. Asserted
+// on the recorded dispatch order, not on wall-clock finish times, so
+// machine load cannot flip it.
 TEST(MorselSchedulerTest, WeightBiasesInterleaving) {
-  constexpr int kTasks = 48;
-  const auto work = [] {
+  // The light set is large enough that it is still queued when the heavy
+  // set has dispatched its last task.
+  constexpr int kLightTasks = 200;
+  constexpr int kHeavyTasks = 48;
+  std::mutex order_mu;
+  std::vector<char> order;  // 'L' / 'H' in dispatch order
+  const auto dispatch = [&](char tag) {
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(tag);
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
 
   std::atomic<bool> light_started{false};
-  double light_ms = 0, heavy_ms = 0;
+  std::atomic<bool> heavy_go{false};
   std::thread light_thread([&] {
-    const auto t0 = std::chrono::steady_clock::now();
     MorselScheduler::Global().Run(
-        kTasks,
+        kLightTasks,
         [&](size_t) {
           light_started.store(true);
-          work();
+          // Hold the light set back until the heavy set is about to
+          // arrive, so the two overlap however the threads are scheduled.
+          while (!heavy_go.load()) std::this_thread::yield();
+          dispatch('L');
         },
         SchedulingContext{"light", 1});
-    light_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
   });
   while (!light_started.load()) std::this_thread::yield();
-
-  const auto t0 = std::chrono::steady_clock::now();
+  heavy_go.store(true);
   MorselScheduler::Global().Run(
-      kTasks, [&](size_t) { work(); }, SchedulingContext{"heavy", 8});
-  heavy_ms = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count();
+      kHeavyTasks, [&](size_t) { dispatch('H'); },
+      SchedulingContext{"heavy", 8});
   light_thread.join();
 
-  // Weight 8 vs 1 claims ~8 of every 9 slots while both are active, so
-  // the heavy set (submitted second!) must still finish first.
-  EXPECT_LT(heavy_ms, light_ms)
-      << "heavy=" << heavy_ms << "ms light=" << light_ms << "ms";
+  ASSERT_EQ(order.size(), static_cast<size_t>(kLightTasks + kHeavyTasks));
+  const auto first_heavy = std::find(order.begin(), order.end(), 'H');
+  const auto last_heavy =
+      std::find(order.rbegin(), order.rend(), 'H').base() - 1;
+  // Both sets were queued for the whole window: the light set dispatched
+  // after the heavy set's last task.
+  ASSERT_NE(std::find(last_heavy, order.end(), 'L'), order.end());
+  const double window = static_cast<double>(last_heavy - first_heavy + 1);
+  const double heavy_share = kHeavyTasks / window;
+  // 8/9 ≈ 0.89 expected; equal weights would give 0.5.
+  EXPECT_GE(heavy_share, 0.75)
+      << "heavy tasks took " << kHeavyTasks << " of " << window
+      << " slots while both sets were queued";
 }
 
 // --- Admission control ------------------------------------------------------
